@@ -26,7 +26,7 @@ def instrument_manifest(apk: ApkPackage) -> ApkPackage:
         decl.exported = True
         if not any(ACTION_MAIN in f.actions for f in decl.intent_filters):
             decl.intent_filters.append(IntentFilter(actions=[ACTION_MAIN]))
-    return ApkPackage(
+    repackaged = ApkPackage(
         package=apk.package,
         manifest_xml=manifest.to_xml(),
         smali_files=dict(apk.smali_files),
@@ -36,3 +36,5 @@ def instrument_manifest(apk: ApkPackage) -> ApkPackage:
         version_name=apk.version_name + "-instrumented",
         _spec=apk.runtime_spec(),
     )
+    repackaged.share_resources(apk)
+    return repackaged

@@ -35,7 +35,6 @@ from repro.android.fragment import FragmentInstance
 from repro.android.intent import Intent
 from repro.android.views import RuntimeWidget
 from repro.apk.package import ApkPackage
-from repro.apk.resources import ResourceTable
 from repro.errors import AppCrashError
 from repro.types import ComponentName, InvocationSource
 
@@ -53,9 +52,7 @@ class AppProcess:
         self.spec: AppSpec = apk.runtime_spec()
         self.package = apk.package
         self.device = device
-        self.resources = ResourceTable.from_public_xml(
-            apk.package, apk.public_xml
-        )
+        self.resources = apk.resources
         self.stack: List[ActivityInstance] = []
         # Click handlers: widget identity -> (spec, owning component).
         self._handlers: Dict[int, Tuple[WidgetSpec, Owner]] = {}

@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, TYPE_CHECKING
 
+from repro.apk.resources import ResourceTable
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apk.appspec import AppSpec
 
@@ -32,10 +34,36 @@ class ApkPackage:
     packed: bool = False
     version_name: str = "1.0"
     _spec: "AppSpec" = field(default=None, repr=False)  # type: ignore[assignment]
+    # Not a field: (public_xml it was parsed from, table), set by
+    # ``resources``; digest(), == and repr never see it.
+    _parsed_resources = None
 
     @property
     def apk_name(self) -> str:
         return f"{self.package}-{self.version_name}.apk"
+
+    @property
+    def resources(self) -> ResourceTable:
+        """The read-only resource table parsed from ``public_xml``.
+
+        Parsed once, on first access, and kept on the package: every
+        simulated process start and every decode of this package reads
+        the same table.  Reassigning ``public_xml`` makes the next
+        access parse again.
+        """
+        parsed = self._parsed_resources
+        if parsed is None or parsed[0] is not self.public_xml:
+            table = ResourceTable.from_public_xml(self.package,
+                                                  self.public_xml)
+            parsed = self._parsed_resources = (self.public_xml,
+                                               table.read_only())
+        return parsed[1]
+
+    def share_resources(self, source: "ApkPackage") -> None:
+        """Read ``source``'s parsed table when both packages carry the
+        same ``public_xml`` (a repackaged APK keeps its resources)."""
+        if source.public_xml is self.public_xml:
+            self._parsed_resources = (self.public_xml, source.resources)
 
     def digest(self) -> str:
         """Content address of the package's analyzable artifacts.

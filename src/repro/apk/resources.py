@@ -33,6 +33,18 @@ class ResourceTable:
     _entries: Dict[Tuple[str, str], ResourceId] = field(default_factory=dict)
     _by_value: Dict[int, Tuple[str, str]] = field(default_factory=dict)
     _counters: Dict[str, int] = field(default_factory=dict)
+    # Not a field: set by read_only(), ignored by == and repr.
+    _read_only = False
+
+    def read_only(self) -> "ResourceTable":
+        """Refuse every later :meth:`define`; returns the table.
+
+        A table shared between readers (an :class:`ApkPackage`'s parsed
+        ``public.xml``) is made read-only, so no reader can change
+        another's view of the package's resources.
+        """
+        self._read_only = True
+        return self
 
     def define(self, rtype: str, name: str) -> ResourceId:
         """Register ``R.<rtype>.<name>`` and return its ID.
@@ -40,6 +52,10 @@ class ResourceTable:
         Defining the same name twice returns the existing ID (resources are
         idempotent, like aapt merging duplicate declarations).
         """
+        if self._read_only:
+            raise ResourceError(
+                f"resource table of {self.package} is read-only; "
+                f"cannot define R.{rtype}.{name}")
         if rtype not in _TYPE_CODES:
             raise ResourceError(f"unknown resource type: {rtype!r}")
         key = (rtype, name)

@@ -239,8 +239,9 @@ class JobQueue:
     raises a typed :class:`~repro.errors.AdmissionError` subclass —
     nothing is ever queued past ``limits.queue_depth`` and every
     rejection lands in the metrics (``serve.rejected.*``).  The
-    scheduler drains with ``next_job``; terminal jobs stay readable by
-    id so clients can poll a finished job's status.
+    scheduler drains with ``next_job``, which wakes as soon as a job is
+    queued; terminal jobs stay readable by id so clients can poll a
+    finished job's status.
     """
 
     def __init__(self, limits: Optional[JobLimits] = None,
@@ -248,6 +249,8 @@ class JobQueue:
         self.limits = limits or JobLimits()
         self.metrics = metrics
         self._lock = threading.Lock()
+        # Notified whenever a job joins ``_pending``.
+        self._queued = threading.Condition(self._lock)
         self._jobs: Dict[str, Job] = {}
         self._pending: Deque[str] = deque()
 
@@ -304,20 +307,27 @@ class JobQueue:
             job.state = ADMITTED
             self._jobs[job.job_id] = job
             self._pending.append(job.job_id)
+            self._queued.notify()
         self.metrics.inc("serve.admitted")
         return job
 
     # -- draining ------------------------------------------------------------
 
-    def next_job(self) -> Optional[Job]:
-        """The oldest admitted job, or None when the queue is idle.
+    def next_job(self, timeout: float = 0.0) -> Optional[Job]:
+        """The oldest admitted job, waiting up to ``timeout`` seconds
+        for one to be queued; None when none arrives in time.
         Cancelled-while-queued jobs are skipped, not returned."""
-        with self._lock:
-            while self._pending:
-                job = self._jobs[self._pending.popleft()]
-                if job.state == ADMITTED:
-                    return job
-        return None
+        deadline = time.monotonic() + timeout
+        with self._queued:
+            while True:
+                while self._pending:
+                    job = self._jobs[self._pending.popleft()]
+                    if job.state == ADMITTED:
+                        return job
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return None
+                self._queued.wait(remaining)
 
     # -- access --------------------------------------------------------------
 
@@ -384,3 +394,4 @@ class JobQueue:
             self._jobs[job.job_id] = job
             if job.state == ADMITTED:
                 self._pending.append(job.job_id)
+                self._queued.notify()

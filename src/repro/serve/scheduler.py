@@ -27,7 +27,9 @@ around the rounds:
   one content-addressed record in the
   :class:`~repro.obs.registry.RunRegistry`, its ``meta`` carrying the
   job id and the degradation account (deaths, re-admissions,
-  quarantines), exactly once even across restarts.
+  quarantines), exactly once even across restarts.  The job shows
+  its terminal state only once that record (and its explanation) is
+  written and ``run_id`` is set.
 """
 
 from __future__ import annotations
@@ -161,13 +163,14 @@ class Scheduler:
 
     def run_forever(self, stop: threading.Event,
                     poll_s: float = 0.05) -> None:
-        """Drain the queue until ``stop`` is set.  A job whose run
-        raises (a scheduler bug, a full disk) is marked failed — one
-        broken job never takes the service down."""
+        """Drain the queue until ``stop`` is set.  An idle scheduler
+        wakes as soon as a job is queued, and notices ``stop`` within
+        ``poll_s``.  A job whose run raises (a scheduler bug, a full
+        disk) is marked failed — one broken job never takes the
+        service down."""
         while not stop.is_set():
-            job = self.queue.next_job()
+            job = self.queue.next_job(timeout=poll_s)
             if job is None:
-                stop.wait(poll_s)
                 continue
             try:
                 self.run_job(job)
@@ -380,21 +383,23 @@ class Scheduler:
     # -- terminal transition -------------------------------------------------
 
     def _finish(self, job: Job, state: str, error: str) -> Job:
-        job.state = state
         job.error = error
         job.finished = round(time.time(), 3)
         if job.started:
             self.tracer.observe("serve.job.run_s",
                                 max(0.0, job.finished - job.started))
         if state in (DONE, FAILED) and self.registry is not None:
-            job.run_id = self._record_run(job)
+            job.run_id = self._record_run(job, state)
+        # Published only now: a client that sees the job terminal also
+        # sees its run_id, and its explanation is already stored.
+        job.state = state
         self._live_outcomes.pop(job.job_id, None)
         self.journal.write(job)
         self._emit_state(job)
         self.tracer.inc(f"serve.jobs.{state}")
         return job
 
-    def _record_run(self, job: Job) -> str:
+    def _record_run(self, job: Job, state: str) -> str:
         rows = [job.completed[package] for package in sorted(job.completed)]
         census: Dict[str, int] = {}
         for row in rows:
@@ -413,7 +418,7 @@ class Scheduler:
                 "job_id": job.job_id,
                 "backend": job.backend,
                 "workers": job.workers,
-                "state": job.state,
+                "state": state,
                 "degradation": job.degradation(),
             },
         )

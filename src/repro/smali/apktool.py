@@ -190,11 +190,10 @@ class Apktool:
         for path, text in sorted(apk.layout_files.items()):
             name = path.rsplit("/", 1)[-1].removesuffix(".xml")
             layouts[name] = Layout.from_xml(name, text)
-        resources = ResourceTable.from_public_xml(apk.package, apk.public_xml)
         return DecodedApk(
             package=apk.package,
             manifest=manifest,
             classes=classes,
             layouts=layouts,
-            resources=resources,
+            resources=apk.resources,
         )

@@ -1,7 +1,13 @@
 """Resource table: ID assignment, uniqueness, round trips."""
 
+import sys
+import threading
+from dataclasses import fields
+
 import pytest
 
+from repro.adb import instrument_manifest
+from repro.apk.package import ApkPackage
 from repro.apk.resources import ResourceTable
 from repro.errors import ResourceError
 from repro.types import RESOURCE_ID_BASE
@@ -97,3 +103,80 @@ def test_entries_filtered_by_type():
     ids = list(table.entries("id"))
     assert len(ids) == 1
     assert ids[0][1] == "a"
+
+
+# ---------------------------------------------------------------------------
+# The package's shared, read-only table
+# ---------------------------------------------------------------------------
+
+def test_package_table_is_parsed_once_and_read_only(demo_apk):
+    table = demo_apk.resources
+    assert demo_apk.resources is table
+    assert list(table.entries()) == list(ResourceTable.from_public_xml(
+        demo_apk.package, demo_apk.public_xml).entries())
+    with pytest.raises(ResourceError, match="read-only"):
+        table.define("id", "injected")
+    with pytest.raises(ResourceError, match="read-only"):
+        table.define("id", next(table.entries("id"))[1])
+    assert table.get("id", "injected") is None
+
+
+def test_package_table_is_not_part_of_the_package_identity(demo_apk):
+    before = (demo_apk.digest(), repr(demo_apk))
+    twin = ApkPackage(
+        package=demo_apk.package,
+        manifest_xml=demo_apk.manifest_xml,
+        smali_files=dict(demo_apk.smali_files),
+        layout_files=dict(demo_apk.layout_files),
+        public_xml=demo_apk.public_xml,
+        _spec=demo_apk.runtime_spec(),
+    )
+    demo_apk.resources
+    assert (demo_apk.digest(), repr(demo_apk)) == before
+    assert demo_apk == twin and twin == demo_apk
+    assert {f.name for f in fields(ApkPackage)}.isdisjoint(
+        {"resources", "_parsed_resources"})
+
+
+def test_reassigning_public_xml_parses_again(demo_apk):
+    first = demo_apk.resources
+    grown = ResourceTable.from_public_xml(demo_apk.package,
+                                          demo_apk.public_xml)
+    grown.define("id", "added_later")
+    demo_apk.public_xml = grown.to_public_xml()
+    second = demo_apk.resources
+    assert second is not first
+    assert second.get("id", "added_later") is not None
+    assert first.get("id", "added_later") is None
+    assert demo_apk.resources is second
+
+
+def test_instrumented_package_shares_the_source_table(demo_apk):
+    instrumented = instrument_manifest(demo_apk)
+    assert instrumented.resources is demo_apk.resources
+
+
+def test_threads_share_one_read_only_view(demo_apk):
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def read():
+            for _ in range(50):
+                table = demo_apk.resources
+                seen.append((list(table.entries()), table._read_only))
+
+        threads = [threading.Thread(target=read, daemon=True)
+                   for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == 400
+    expected = list(ResourceTable.from_public_xml(
+        demo_apk.package, demo_apk.public_xml).entries())
+    assert all(entries == expected and read_only
+               for entries, read_only in seen)

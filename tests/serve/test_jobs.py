@@ -1,5 +1,9 @@
 """The job model and the admission-controlled queue."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.errors import (
@@ -119,6 +123,70 @@ def test_next_job_is_fifo_and_skips_cancelled():
     assert queue.depth() == 1  # the cancelled job freed its slot
     assert queue.next_job() is second
     assert queue.next_job() is None
+
+
+def _arrives_later(queue_op):
+    """Run ``queue_op`` on another thread after a short delay; returns
+    a list that receives the monotonic time of the call."""
+    stamp = []
+
+    def later():
+        threading.Event().wait(0.05)
+        stamp.append(time.monotonic())
+        queue_op()
+
+    threading.Thread(target=later, daemon=True).start()
+    return stamp
+
+
+@pytest.mark.parametrize("arrival", ["submit", "restore"])
+def test_next_job_wakes_when_a_job_arrives(arrival):
+    queue = JobQueue()
+    job = Job(apps=list(APPS))
+    if arrival == "restore":
+        job.state = RUNNING
+    stamp = _arrives_later(lambda: getattr(queue, arrival)(job))
+    assert queue.next_job(timeout=1.0) is job
+    # Woken by the arrival, long before the 1 s timeout.
+    assert time.monotonic() - stamp[0] < 0.5
+
+
+def test_concurrent_submits_are_each_drained_exactly_once():
+    queue = JobQueue(JobLimits(queue_depth=400))
+    producers, per_producer = 8, 40
+    drained = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def produce():
+            for _ in range(per_producer):
+                queue.submit(Job(apps=list(APPS)))
+
+        threads = [threading.Thread(target=produce, daemon=True)
+                   for _ in range(producers)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 10.0
+        while (len(drained) < producers * per_producer
+               and time.monotonic() < deadline):
+            job = queue.next_job(timeout=0.1)
+            if job is not None:
+                drained.append(job.job_id)
+        for thread in threads:
+            thread.join(timeout=5.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(drained) == len(set(drained)) == producers * per_producer
+    assert queue.next_job() is None
+
+
+def test_next_job_times_out_on_an_idle_queue():
+    queue = JobQueue()
+    started = time.monotonic()
+    assert queue.next_job(timeout=0.05) is None
+    assert time.monotonic() - started >= 0.05
+    assert queue.next_job() is None  # no timeout: never waits
 
 
 def test_cancel_running_is_cooperative():

@@ -8,12 +8,14 @@ surviving apps' rows match a fault-free run exactly.
 """
 
 import threading
+import time
 
 import pytest
 
 from repro.bench.parallel import SweepOutcome, explore_many
 from repro.errors import WorkerDiedError
 from repro.obs import EventLog, Tracer
+from repro.obs.attribution import ExplanationStore
 from repro.obs.registry import RunRegistry
 from repro.serve import (
     CANCELLED,
@@ -275,6 +277,53 @@ def test_exhausted_budget_records_timeout_rows(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Publishing the terminal state
+# ---------------------------------------------------------------------------
+
+class SlowRegistry(RunRegistry):
+    """Holds every record write open long enough to be observed."""
+
+    def record(self, record):
+        threading.Event().wait(0.05)
+        return super().record(record)
+
+
+@pytest.mark.parametrize("terminal", [DONE, FAILED])
+def test_terminal_state_is_published_with_its_run_id(tmp_path, terminal):
+    # A failed job: its time budget is gone by the first round.
+    ticks = iter([0.0, 100.0, 200.0, 300.0])
+    wall = {"wall": lambda: next(ticks)} if terminal == FAILED else {}
+    scheduler = make_scheduler(tmp_path, **wall)
+    scheduler.registry = SlowRegistry(tmp_path / "slow-runs")
+    job = submit_demo_job(scheduler, time_budget_s=5.0)
+    torn = []
+    stop = threading.Event()
+
+    def poll():
+        while not stop.is_set():
+            polled = scheduler.queue.get(job.job_id)
+            state = polled.state  # read before run_id: the writer's order
+            if state in (DONE, FAILED) and not polled.run_id:
+                torn.append(state)
+                return
+
+    reader = threading.Thread(target=poll, daemon=True)
+    reader.start()
+    try:
+        scheduler.run_job(job)
+    finally:
+        stop.set()
+        reader.join(timeout=5.0)
+    assert job.state == terminal
+    assert torn == []
+    # The record still says what the job became.
+    record = scheduler.registry.load(job.run_id)
+    assert record.meta["state"] == terminal
+    assert ExplanationStore(scheduler.registry.directory).ids() == (
+        [job.run_id] if terminal == DONE else [])
+
+
+# ---------------------------------------------------------------------------
 # Cancellation and supervisor resilience
 # ---------------------------------------------------------------------------
 
@@ -316,6 +365,48 @@ def test_a_crashing_job_never_kills_the_service(tmp_path):
     assert "scheduler failure" in job.error
     assert scheduler.tracer.metrics.counter("serve.job.crashed") == 1
     assert not thread.is_alive()
+
+
+def _run_in_background(scheduler, poll_s):
+    stop = threading.Event()
+    thread = threading.Thread(target=scheduler.run_forever,
+                              args=(stop,), kwargs={"poll_s": poll_s},
+                              daemon=True)
+    thread.start()
+    return stop, thread
+
+
+def test_an_idle_scheduler_starts_a_submitted_job_at_once(tmp_path):
+    def instant_sweep(plans, config=None, max_workers=None, backend=None):
+        return {plan.package: SweepOutcome(package=plan.package)
+                for plan in plans}
+
+    scheduler = make_scheduler(tmp_path, sweep_fn=instant_sweep)
+    stop, thread = _run_in_background(scheduler, poll_s=1.0)
+    try:
+        threading.Event().wait(0.05)  # the scheduler is now waiting
+        job = submit_demo_job(scheduler)
+        for _ in range(100):
+            if job.started:
+                break
+            threading.Event().wait(0.005)
+        # Started on the submit's wake-up, not on the 1 s poll.
+        assert job.started and job.started - job.created < 0.5
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+
+
+def test_an_idle_scheduler_stops_within_its_poll(tmp_path):
+    scheduler = make_scheduler(tmp_path)
+    stop, thread = _run_in_background(scheduler, poll_s=0.05)
+    threading.Event().wait(0.05)
+    stopped = time.monotonic()
+    stop.set()
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert time.monotonic() - stopped < 0.5
 
 
 # ---------------------------------------------------------------------------
