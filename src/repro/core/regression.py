@@ -3,23 +3,23 @@
 The point of generating Robotium test cases is to *keep* them: when the
 app's next version lands, the suite replays against it and every broken
 path or fresh crash is a regression signal.  This module replays a
-previous exploration's test cases on a new APK and classifies the
-outcomes — the workflow the paper's generated artifacts enable.
+previous exploration's test cases on a new APK through the replay
+engine (:func:`repro.rnr.replay.replay_script`) and classifies each
+outcome — the workflow the paper's generated artifacts enable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
-from repro.adb.bridge import Adb
 from repro.adb.instrumentation import instrument_manifest
 from repro.android.device import Device
 from repro.apk.package import ApkPackage
 from repro.core.explorer import ExplorationResult
-from repro.core.testcase import TestCase
 from repro.errors import ReproError
-from repro.robotium.solo import Solo
+from repro.rnr.export import script_from_testcase
+from repro.rnr.replay import replay_script
 
 PASS = "pass"
 BROKEN = "broken"   # an operation no longer applies (UI drifted)
@@ -70,35 +70,29 @@ class RegressionReport:
         return "\n".join(lines)
 
 
-def run_regression(
-    baseline: ExplorationResult,
-    new_apk: ApkPackage,
-    device: Optional[Device] = None,
-) -> RegressionReport:
-    """Replay the baseline's generated suite against a new version."""
+def run_regression(baseline: ExplorationResult,
+                   new_apk: ApkPackage) -> RegressionReport:
+    """Replay the baseline's generated suite against a new version.
+
+    Each passing test case replays on a fresh device: a divergence-free
+    replay passes, a divergence after the app crashed is a crash, and
+    any other divergence is a broken path.
+    """
     if new_apk.package != baseline.package:
         raise ReproError(
             f"suite is for {baseline.package}, APK is {new_apk.package}"
         )
-    device = device or Device()
-    adb = Adb(device)
-    solo = Solo(device)
-    adb.install(instrument_manifest(new_apk))
+    apk = instrument_manifest(new_apk)
     report = RegressionReport(package=baseline.package)
     for case in baseline.passing_test_cases:
-        device.force_stop(baseline.package)
-        crashes_before = device.crash_count
-        try:
-            case.run(solo, adb)
-        except ReproError as exc:
-            if device.crash_count > crashes_before:
-                report.outcomes.append(
-                    RegressionOutcome(case.name, CRASH, str(exc))
-                )
-            else:
-                report.outcomes.append(
-                    RegressionOutcome(case.name, BROKEN, str(exc))
-                )
-            continue
-        report.outcomes.append(RegressionOutcome(case.name, PASS))
+        device = Device()
+        outcome = replay_script(script_from_testcase(case), device, apk=apk)
+        if outcome.ok:
+            status = PASS
+        elif device.crash_count > 0:
+            status = CRASH
+        else:
+            status = BROKEN
+        report.outcomes.append(
+            RegressionOutcome(case.name, status, outcome.error))
     return report

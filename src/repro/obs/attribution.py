@@ -54,9 +54,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -69,6 +67,7 @@ from repro.obs.events import (
     RUN_END,
     WIDGET_CLICKED,
 )
+from repro.store import atomic_write, read_entries, resolve_prefix
 
 #: Bump whenever the explanation shape changes; foreign schemas are
 #: rejected on read, mirroring ``RECORD_SCHEMA``.
@@ -673,16 +672,19 @@ class ExplanationStore:
     """Explanations under a run-registry directory, keyed by run id.
 
     One ``explanations/<run_id>.json`` per explained record, written
-    with the registry's atomic-rename discipline.  Keyed by the *source
-    run id* so the lookup from a record (or a serve job) is O(1); the
-    content-addressed ``explanation_id`` inside the file makes
-    tampering detectable, exactly like ``RunRecord``.
+    atomically like every store (:mod:`repro.store`).  Keyed by the
+    *source run id* so the lookup from a record (or a serve job) is
+    O(1); the content-addressed ``explanation_id`` inside the file makes
+    tampering detectable, exactly like ``RunRecord``.  Unreadable files
+    are skipped with a warning and tallied on ``self.skipped``.
     """
 
     SUBDIR = "explanations"
 
     def __init__(self, directory) -> None:
         self.directory = pathlib.Path(directory) / self.SUBDIR
+        #: (file name, reason) of files skipped by the last list().
+        self.skipped: List[Tuple[str, str]] = []
 
     def path_of(self, run_id: str) -> pathlib.Path:
         return self.directory / f"{run_id}.json"
@@ -693,50 +695,32 @@ class ExplanationStore:
                              "stored (it keys the file)")
         if not explanation.explanation_id:
             explanation.explanation_id = explanation.compute_id()
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(self.path_of(explanation.source_run_id),
-                           explanation.to_json())
+        atomic_write(self.path_of(explanation.source_run_id),
+                     explanation.to_json())
         return explanation.explanation_id
-
-    def _atomic_write(self, path: pathlib.Path, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(self.directory),
-                                   prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def load(self, ref: str) -> CoverageExplanation:
         """Load by source run id or explanation id (unique prefixes work)."""
         path = self.path_of(ref)
         if not path.exists():
-            matches = [p for p in self.ids() if p.startswith(ref)]
-            if not matches:
+            ids = self.ids()
+            if not any(run_id.startswith(ref) for run_id in ids):
                 # Users paste the explanation id from the status line
                 # just as often as the run id; match it too.
-                matches = [run_id for run_id in self.ids()
-                           if self._read(run_id).explanation_id
-                           .startswith(ref)]
-            if len(matches) == 1:
-                path = self.path_of(matches[0])
-            elif len(matches) > 1:
-                raise KeyError(f"id prefix {ref!r} is ambiguous: "
-                               f"{', '.join(matches)}")
-            else:
-                raise KeyError(f"no explanation for {ref!r} under "
-                               f"{self.directory}")
+                by_id = {e.explanation_id: e for e in self.list()}
+                return by_id[resolve_prefix(by_id, ref, "explanation",
+                                            self.directory)]
+            path = self.path_of(resolve_prefix(ids, ref, "explanation",
+                                               self.directory))
         return CoverageExplanation.from_dict(
             json.loads(path.read_text(encoding="utf-8")))
 
-    def _read(self, run_id: str) -> CoverageExplanation:
-        return CoverageExplanation.from_dict(json.loads(
-            self.path_of(run_id).read_text(encoding="utf-8")))
+    def list(self) -> List[CoverageExplanation]:
+        """Every readable explanation, by source run id; unreadable
+        files are skipped with a warning."""
+        explanations, self.skipped = read_entries(
+            self.directory, CoverageExplanation.from_dict, "explanation")
+        return explanations
 
     def ids(self) -> List[str]:
         if not self.directory.is_dir():

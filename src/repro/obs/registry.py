@@ -29,10 +29,9 @@ Records are content-addressed: ``run_id`` is a SHA-256 prefix over the
 canonical JSON of the measurement payload (``meta`` — timestamps,
 backend, worker count — is deliberately outside the hash), so a record
 can never be silently edited in place and identical measurements share
-an id.  Writes are atomic (temp file + ``os.replace``, the
-:class:`~repro.static.cache.StaticCache` discipline), so concurrent
-sweeps sharing one store never interleave bytes; a corrupted or
-truncated record file is *skipped with a warning*, never fatal.
+an id.  Writes are atomic (:func:`repro.store.atomic_write`), so
+concurrent sweeps sharing one store never interleave bytes; a corrupted
+or truncated record file is *skipped with a warning*, never fatal.
 
 ``RunRegistry.pin`` marks one record as the baseline the regression
 gate (:mod:`repro.obs.regress`) compares candidates against; ``gc``
@@ -45,15 +44,14 @@ import hashlib
 import json
 import os
 import pathlib
-import tempfile
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.flame import build_trees
 from repro.obs.summary import percentile
 from repro.obs.timeline import coverage_timeline, discovery_stats
+from repro.store import atomic_write, read_entries, resolve_prefix
 
 #: Bump whenever the record shape changes; records written by another
 #: schema version are skipped with a warning instead of mis-parsing.
@@ -389,23 +387,8 @@ class RunRegistry:
         """Persist a record; returns its (content-addressed) run id."""
         if not record.run_id:
             record.run_id = record.compute_id()
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(self.path_of(record.run_id), record.to_json())
+        atomic_write(self.path_of(record.run_id), record.to_json())
         return record.run_id
-
-    def _atomic_write(self, path: pathlib.Path, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(self.directory),
-                                   prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     # -- reading -----------------------------------------------------------
 
@@ -422,19 +405,9 @@ class RunRegistry:
         """A record by id (unique prefixes accepted)."""
         path = self.path_of(run_id)
         if not path.exists():
-            matches = [i for i in self.ids() if i.startswith(run_id)]
-            if len(matches) == 1:
-                path = self.path_of(matches[0])
-            elif len(matches) > 1:
-                raise KeyError(
-                    f"run id prefix {run_id!r} is ambiguous: "
-                    f"{', '.join(matches)}"
-                )
-            else:
-                raise KeyError(f"no run record {run_id!r} under "
-                               f"{self.directory}")
-        return RunRecord.from_dict(
-            json.loads(path.read_text(encoding="utf-8")))
+            path = self.path_of(resolve_prefix(self.ids(), run_id,
+                                               "run record", self.directory))
+        return load_record(path)
 
     def list(self) -> List[RunRecord]:
         """Every readable record, oldest first (created, then id).
@@ -443,22 +416,8 @@ class RunRegistry:
         corruption — are skipped with a warning and tallied on
         ``self.skipped``.
         """
-        self.skipped = []
-        records: List[RunRecord] = []
-        if not self.directory.is_dir():
-            return records
-        for path in sorted(self.directory.glob("*.json")):
-            if path.name.startswith("."):
-                continue  # in-flight temp files
-            try:
-                records.append(RunRecord.from_dict(
-                    json.loads(path.read_text(encoding="utf-8"))))
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                reason = str(exc)
-                self.skipped.append((path.name, reason))
-                warnings.warn(
-                    f"skipping unreadable run record {path.name}: {reason}",
-                    RuntimeWarning, stacklevel=2)
+        records, self.skipped = read_entries(
+            self.directory, RunRecord.from_dict, "run record")
         records.sort(key=lambda r: (r.created, r.run_id))
         return records
 
@@ -474,10 +433,7 @@ class RunRegistry:
         id (prefixes accepted, the record must exist)."""
         record = self.load(run_id)
         full_id = record.run_id or record.compute_id()
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(self.directory / PIN_FILE, full_id + "\n")
-        # _atomic_write leaves a ".json" suffix on the temp only; the
-        # final name carries none, so ids() never lists the pin.
+        atomic_write(self.directory / PIN_FILE, full_id + "\n")
         return full_id
 
     def pinned(self) -> Optional[str]:

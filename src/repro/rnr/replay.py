@@ -133,7 +133,8 @@ def replay_script(script: ReplayScript, device: Device,
             return diverge(index, _categorize(exc), str(exc))
         if not device.app_alive:
             return diverge(index, "app-died",
-                           f"app left the foreground after {event.kind}")
+                           f"app left the foreground after {event.kind}"
+                           f"({event.widget_id})")
         outcome.applied += 1
         activity = device.current_activity_name()
         if activity is not None:

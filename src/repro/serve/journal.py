@@ -3,8 +3,8 @@
 The journal is what makes ``repro serve`` restartable: every job
 transition — admission, each completed round of apps, the terminal
 state — is written as one ``<job_id>.json`` file under the journal
-directory, atomically (temp file + ``os.replace``, the run-registry
-discipline), so a crash between writes leaves either the previous
+directory, atomically (:func:`repro.store.atomic_write`, like every
+other store), so a crash between writes leaves either the previous
 consistent snapshot or the new one, never interleaved bytes.
 
 On restart the service loads every entry; jobs in a non-terminal state
@@ -23,11 +23,10 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import tempfile
-import warnings
 from typing import List, Optional, Tuple
 
 from repro.serve.jobs import ACTIVE_STATES, Job
+from repro.store import atomic_write, read_entries
 
 
 def default_journal_dir() -> pathlib.Path:
@@ -55,20 +54,8 @@ class JobJournal:
 
     def write(self, job: Job) -> None:
         """Persist the job's current snapshot (atomic replace)."""
-        self.directory.mkdir(parents=True, exist_ok=True)
         text = json.dumps(job.to_dict(), indent=2, sort_keys=True) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=str(self.directory),
-                                   prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, self.path_of(job.job_id))
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path_of(job.job_id), text)
 
     def remove(self, job_id: str) -> bool:
         try:
@@ -86,22 +73,8 @@ class JobJournal:
     def jobs(self) -> List[Job]:
         """Every readable journal entry, oldest submission first;
         unreadable entries are skipped with a warning."""
-        self.skipped = []
-        jobs: List[Job] = []
-        if not self.directory.is_dir():
-            return jobs
-        for path in sorted(self.directory.glob("*.json")):
-            if path.name.startswith("."):
-                continue  # in-flight temp files
-            try:
-                jobs.append(Job.from_dict(
-                    json.loads(path.read_text(encoding="utf-8"))))
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                reason = str(exc)
-                self.skipped.append((path.name, reason))
-                warnings.warn(
-                    f"skipping unreadable job journal entry {path.name}: "
-                    f"{reason}", RuntimeWarning, stacklevel=2)
+        jobs, self.skipped = read_entries(self.directory, Job.from_dict,
+                                          "job journal entry")
         jobs.sort(key=lambda j: (j.created, j.job_id))
         return jobs
 

@@ -23,7 +23,7 @@ APKs are never cached (they fail before producing a model).  Stored
 entries strip analyst input values, which are re-applied per lookup, so
 one cache serves runs with different input files.
 
-Writes are atomic (temp file + ``os.replace``), so concurrent sweep
+Writes are atomic (:func:`repro.store.atomic_write`), so concurrent sweep
 workers sharing one directory never observe torn entries; a corrupted
 or truncated entry reads as a miss.  Hit/miss/store tallies persist
 best-effort in ``<dir>/stats.json`` for ``repro cache stats``.
@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import tempfile
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional
@@ -43,6 +42,7 @@ from repro.static.aftm import AFTM, Node, NodeKind
 from repro.static.extractor import StaticInfo
 from repro.static.input_dep import InputDependency
 from repro.static.resource_dep import ResourceBinding, ResourceDependency
+from repro.store import atomic_write
 
 #: Bump whenever the serialized shape below changes; entries written by
 #: other schema versions read as misses instead of mis-deserializing.
@@ -256,12 +256,11 @@ class StaticCache:
             return
         merged = self.load_notes(kind)
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
             payload = json.dumps(
                 {"schema": CACHE_SCHEMA, "kind": kind, "notes": merged},
                 sort_keys=True,
             )
-            self._atomic_write(self.directory / f"notes-{kind}.json", payload)
+            atomic_write(self.directory / f"notes-{kind}.json", payload)
         except OSError:
             pass  # a read-only or full disk degrades to memory-only
 
@@ -313,28 +312,14 @@ class StaticCache:
 
     def _disk_put(self, digest: str, data: Dict) -> None:
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
             payload = json.dumps(
                 {"schema": CACHE_SCHEMA, "digest": digest,
                  "package": data["package"], "static_info": data},
                 sort_keys=True,
             )
-            self._atomic_write(self._entry_path(digest), payload)
+            atomic_write(self._entry_path(digest), payload)
         except OSError:
             pass  # a read-only or full disk degrades to memory-only
-
-    def _atomic_write(self, path: pathlib.Path, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(self.directory),
-                                   prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
 
     # -- stats / maintenance ----------------------------------------------
 
@@ -343,14 +328,13 @@ class StaticCache:
         if self.directory is None:
             return
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
             path = self.directory / _STATS_FILE
             try:
                 stats = json.loads(path.read_text(encoding="utf-8"))
             except (OSError, ValueError):
                 stats = {}
             stats[key] = int(stats.get(key, 0)) + count
-            self._atomic_write(path, json.dumps(stats, sort_keys=True))
+            atomic_write(path, json.dumps(stats, sort_keys=True))
         except OSError:
             pass
 

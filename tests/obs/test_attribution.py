@@ -172,6 +172,28 @@ def test_store_rejects_ambiguous_and_unknown_refs(tmp_path):
         store.save(CoverageExplanation())
 
 
+def test_store_loads_by_explanation_id_past_a_corrupt_sibling(tmp_path):
+    explanation = _stored(tmp_path, "aaaa000011112222")
+    store = ExplanationStore(tmp_path)
+    (store.directory / "bbbb2222.json").write_text('{"schema": 1, "lab',
+                                                   encoding="utf-8")
+    with pytest.warns(RuntimeWarning, match="bbbb2222.json"):
+        loaded = store.load(explanation.explanation_id[:8])
+    assert loaded.to_json() == explanation.to_json()
+    assert [name for name, _ in store.skipped] == ["bbbb2222.json"]
+
+
+def test_dashboard_warns_about_corrupt_explanations(tmp_path):
+    from repro.obs import load_explanations
+
+    explanation = _stored(tmp_path, "aaaa000011112222")
+    (ExplanationStore(tmp_path).directory / "bbbb2222.json").write_text(
+        "not json", encoding="utf-8")
+    with pytest.warns(RuntimeWarning, match="unreadable explanation"):
+        loaded = load_explanations(tmp_path)
+    assert [e.to_json() for e in loaded] == [explanation.to_json()]
+
+
 # -- rendering ---------------------------------------------------------------
 
 def test_render_lists_census_and_drills_into_one_target():
