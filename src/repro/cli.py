@@ -8,9 +8,6 @@ Commands:
 * ``explore <app>`` — run the full FragDroid pipeline, print the
   coverage report (``--json`` for the structured run report);
 * ``audit <app>`` — explore and print the sensitive-API relations;
-* ``trace-summary <run.jsonl>`` — per-phase timing and top-N slowest
-  spans of a traced run (written with ``explore --trace-jsonl``);
-  ``--flame`` emits collapsed-stack flamegraph lines instead;
 * ``dashboard <run dir>`` — render the self-contained HTML run
   dashboard from a saved run (``explore --save`` with the flight
   recorder on) or a directory of runs (the fleet view);
@@ -24,6 +21,10 @@ Commands:
   registry: list recorded runs, print one record, structured-diff two
   records, prune old ones (never the pinned baseline), pin the
   regression baseline, ingest benchmark result JSON;
+* ``profile [REF]`` — where the time went: per-phase self time from a
+  run record or a span JSONL (``explore --trace-jsonl``), ``--diff``
+  against a baseline; ``--flame`` prints a JSONL's collapsed-stack
+  flamegraph lines;
 * ``regress --baseline REF`` — the deterministic regression gate:
   compare a candidate run (recorded id, record file, or a fresh
   Table-I sweep) against a baseline record; exit 1 on regression (a
@@ -182,7 +183,7 @@ def _add_explore_flags(parser: argparse.ArgumentParser) -> None:
                         help="print the exploration trace")
     parser.add_argument("--trace-jsonl", metavar="FILE",
                         help="record observability spans as JSON lines "
-                             "(inspect with `repro trace-summary FILE`)")
+                             "(inspect with `repro profile FILE`)")
     parser.add_argument("--events-jsonl", metavar="FILE",
                         help="record the flight-recorder event timeline "
                              "as JSON lines (feeds `repro dashboard`)")
@@ -388,34 +389,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace_summary(args: argparse.Namespace) -> int:
-    """Summarize a span JSONL file: per-phase totals + slowest spans
-    (or collapsed-stack flamegraph lines with ``--flame``)."""
-    import pathlib
-
-    from repro.obs import collapsed_stacks, read_spans, render_summary
-
-    path = pathlib.Path(args.jsonl)
-    if not path.exists():
-        print(f"no such trace file: {path}")
-        return 1
-    try:
-        spans = read_spans(path)
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"{path} is not a span JSONL file: {exc}")
-        return 1
-    if not spans:
-        print(f"{path} holds no spans — was the run traced? "
-              "(record with `explore --trace-jsonl`)")
-        return 1
-    if args.flame:
-        for line in collapsed_stacks(spans):
-            print(line)
-        return 0
-    print(render_summary(spans, top=args.top))
-    return 0
-
-
 def cmd_dashboard(args: argparse.Namespace) -> int:
     """Render the self-contained HTML dashboard for a saved run, a
     directory of runs (the fleet view), or — with ``--journal`` — the
@@ -537,19 +510,24 @@ def _open_registry(args: argparse.Namespace):
 
 
 def _resolve_record(registry, ref: str):
-    """A run record by registry id/prefix or by record-file path.
+    """A run record by registry id/prefix or by file path.
 
-    File paths may name either a full run record or a bench-result file
-    (the ``write_result_json`` shape, ``{"bench": ..., "data": {...}}``);
-    the latter is converted through the same flattening as
-    ``repro runs ingest``, so committed bench baselines gate directly.
+    File paths may name a full run record, a bench-result file (the
+    ``write_result_json`` shape, ``{"bench": ..., "data": {...}}``) or
+    a span JSONL (``*.jsonl``).  A bench result is converted through
+    the same flattening as ``repro runs ingest``, so committed bench
+    baselines gate directly; a span JSONL becomes an unnamed record
+    holding only its per-phase self-time stats.
     """
     import json
     import pathlib
 
-    from repro.obs.registry import load_record, record_from_bench
+    from repro.obs import phase_stats
+    from repro.obs.registry import RunRecord, load_record, record_from_bench
 
     path = pathlib.Path(ref)
+    if path.suffix == ".jsonl":
+        return RunRecord(label=path.name, phases=phase_stats(_spans(path)))
     if path.is_file():
         payload = json.loads(path.read_text(encoding="utf-8"))
         if isinstance(payload, dict) and "bench" in payload \
@@ -557,6 +535,18 @@ def _resolve_record(registry, ref: str):
             return record_from_bench(path)
         return load_record(path)
     return registry.load(ref)
+
+
+def _spans(path):
+    """The spans of a JSONL file; a line that is JSON but not a span
+    raises ``ValueError`` like malformed JSON does."""
+    from repro.obs import read_spans
+
+    try:
+        return read_spans(path)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is not a span JSONL file: {exc!r}") \
+            from exc
 
 
 def _print_diff_attribution(registry, baseline, candidate) -> None:
@@ -687,8 +677,28 @@ def cmd_runs(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Where the time goes: top phases by p90 self time from a run
-    record (default: the latest in the registry), optionally diffed
-    against a baseline record."""
+    record or span JSONL (default: the latest record in the registry),
+    optionally diffed against a baseline; ``--flame`` prints a span
+    JSONL's collapsed-stack flamegraph lines instead."""
+    if args.flame:
+        if not (args.record or "").endswith(".jsonl"):
+            print("--flame needs a span JSONL file (record one with "
+                  "`explore --trace-jsonl`)")
+            return 2
+        from repro.obs import collapsed_stacks
+
+        try:
+            spans = _spans(args.record)
+        except (ValueError, OSError) as exc:
+            print(f"cannot load record {args.record!r}: {exc}")
+            return 2
+        if not spans:
+            print(f"{args.record} holds no spans")
+            return 2
+        for line in collapsed_stacks(spans):
+            print(line)
+        return 0
+
     registry = _open_registry(args)
     if args.record:
         try:
@@ -717,8 +727,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     total = record.total_phase_time()
     ranked = sorted(record.phases.items(),
-                    key=lambda item: item[1].get("self_p90_ms", 0.0),
-                    reverse=True)[:args.top]
+                    key=lambda item: (-item[1].get("self_p90_ms", 0.0),
+                                      item[0]))[:args.top]
     print(f"run {record.run_id or '<unnamed>'} ({record.label}) — "
           f"top {len(ranked)} phases by p90 self time; "
           f"total self time {total:.3f}s")
@@ -1171,18 +1181,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory")
     export.set_defaults(func=cmd_export_corpus)
 
-    trace_summary = sub.add_parser(
-        "trace-summary",
-        help="per-phase timing of a traced run (JSONL from --trace-jsonl)",
-    )
-    trace_summary.add_argument("jsonl", help="span JSONL file")
-    trace_summary.add_argument("--top", type=int, default=10,
-                               help="how many slowest spans to list")
-    trace_summary.add_argument("--flame", action="store_true",
-                               help="emit collapsed-stack flamegraph "
-                                    "lines (name;name <self-time µs>)")
-    trace_summary.set_defaults(func=cmd_trace_summary)
-
     dashboard = sub.add_parser(
         "dashboard",
         help="render the HTML dashboard of a saved run (or run dirs)",
@@ -1263,16 +1261,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="top phases by p90 self time from a run record",
+        help="top phases by p90 self time from a run record or span "
+             "JSONL",
     )
     profile.add_argument("record", nargs="?", default=None,
-                         help="run id (in the registry) or record JSON "
-                              "file; omitted: the latest registry record")
+                         help="run id (in the registry), record JSON "
+                              "file or span JSONL (`explore "
+                              "--trace-jsonl`); omitted: the latest "
+                              "registry record")
     profile.add_argument("--top", type=int, default=10, metavar="N",
                          help="phases to show (default 10)")
     profile.add_argument("--diff", metavar="BASELINE", default=None,
                          help="also show per-phase p90 deltas against "
-                              "this run id or record file")
+                              "this run id, record file or span JSONL")
+    profile.add_argument("--flame", action="store_true",
+                         help="emit collapsed-stack flamegraph lines "
+                              "(name;name <self-time µs>) of a span "
+                              "JSONL")
     profile.add_argument("--dir", metavar="DIR", default=None,
                          help="registry directory (default "
                               "$FRAGDROID_RUNS_DIR or "

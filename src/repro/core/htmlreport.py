@@ -13,7 +13,7 @@ from typing import List
 
 from repro.core.explorer import ExplorationResult
 from repro.core.sensitive_analysis import relations_from_invocations
-from repro.obs import timing_rows
+from repro.obs import phase_rows
 
 _STYLE = """
 body { font-family: system-ui, sans-serif; margin: 2rem auto;
@@ -102,10 +102,13 @@ def render_html_report(result: ExplorationResult) -> str:
     timing_table = ""
     if result.spans:
         timing_table = _table(
-            "Per-phase timing",
-            ["Span", "Count", "Total (s)", "Mean (ms)", "p50 (ms)",
-             "p90 (ms)", "p99 (ms)", "Max (ms)"],
-            timing_rows(result.spans),
+            "Per-phase timing (self time)",
+            ["Span", "Count", "Self total (s)", "p50 (ms)", "p90 (ms)",
+             "p99 (ms)"],
+            [[row["span"], row["count"], f"{row['self_total_s']:.4f}",
+              f"{row['self_p50_ms']:.2f}", f"{row['self_p90_ms']:.2f}",
+              f"{row['self_p99_ms']:.2f}"]
+             for row in phase_rows(result.spans)],
         )
 
     # The degradation section exists only for fault-injected runs.

@@ -12,7 +12,7 @@ import json
 from typing import Dict, List
 
 from repro.core.explorer import ExplorationResult
-from repro.obs import Span, aggregate_spans, render_summary
+from repro.obs import phase_rows
 from repro.static.aftm import AFTM, Node, NodeKind, activity_node, fragment_node
 
 
@@ -124,7 +124,7 @@ def result_to_dict(result: ExplorationResult) -> Dict:
     # Observability extras appear only when the run was traced, so the
     # default (no-op tracer) report stays byte-identical.
     if result.spans:
-        report["timing"] = timing_to_dict(result.spans)
+        report["timing"] = phase_rows(result.spans)
     if result.metrics:
         report["metrics"] = result.metrics
     # Likewise the degradation section exists only for fault-injected
@@ -137,28 +137,3 @@ def result_to_dict(result: ExplorationResult) -> Dict:
 def result_to_json(result: ExplorationResult) -> str:
     return json.dumps(result_to_dict(result), indent=2, sort_keys=True)
 
-
-# ---------------------------------------------------------------------------
-# Timing (repro.obs)
-# ---------------------------------------------------------------------------
-
-def timing_to_dict(spans: List[Span]) -> List[Dict]:
-    """Per-phase aggregates of a traced run, slowest phase first."""
-    return [
-        {
-            "span": stat.name,
-            "count": stat.count,
-            "total_s": round(stat.total, 6),
-            "mean_ms": round(stat.mean * 1000, 3),
-            "p50_ms": round(stat.p50 * 1000, 3),
-            "p90_ms": round(stat.p90 * 1000, 3),
-            "p99_ms": round(stat.p99 * 1000, 3),
-            "max_ms": round(stat.maximum * 1000, 3),
-        }
-        for stat in aggregate_spans(spans)
-    ]
-
-
-def timing_text(spans: List[Span], top: int = 10) -> str:
-    """The human-readable per-phase timing table (CLI / docs)."""
-    return render_summary(spans, top=top)

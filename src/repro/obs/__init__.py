@@ -18,11 +18,12 @@ The subsystem's recording half travels through ``FragDroidConfig``:
 
 The analysis half replays a recorded run offline:
 
-* ``repro.obs.summary`` — per-span aggregate tables;
 * ``repro.obs.timeline`` — coverage-over-time curves, stall/plateau
   detection, time-to-50%/90% discovery statistics;
-* ``repro.obs.flame`` — span-tree reconstruction, self-time, critical
-  path, collapsed-stack flamegraph output;
+* ``repro.obs.flame`` — span-tree reconstruction, per-phase self-time
+  stats (the one phase-cost definition behind ``repro profile``, run
+  records, reports and the dashboard), critical path, collapsed-stack
+  flamegraph output;
 * ``repro.obs.export`` — Prometheus text exposition and the run
   manifest JSON;
 * ``repro.obs.dashboard`` — the self-contained HTML run dashboard;
@@ -91,7 +92,8 @@ from repro.obs.flame import (
     build_trees,
     collapsed_stacks,
     critical_path,
-    self_times,
+    phase_rows,
+    phase_stats,
 )
 from repro.obs.metrics import (
     NULL_METRICS,
@@ -120,13 +122,6 @@ from repro.obs.sinks import (
     SpanSink,
     read_events,
     read_spans,
-)
-from repro.obs.summary import (
-    SpanStat,
-    aggregate_spans,
-    render_summary,
-    timing_rows,
-    top_slowest,
 )
 from repro.obs.timeline import (
     CoveragePoint,
@@ -173,11 +168,9 @@ __all__ = [
     "SERVE_EVENT_KINDS",
     "Span",
     "SpanSink",
-    "SpanStat",
     "Stall",
     "Tracer",
     "Violation",
-    "aggregate_spans",
     "build_trees",
     "capture_run_record",
     "check_regression",
@@ -202,6 +195,8 @@ __all__ = [
     "load_run",
     "newly_unreached",
     "percentile",
+    "phase_rows",
+    "phase_stats",
     "prometheus_text",
     "queue_depth_series",
     "read_events",
@@ -213,14 +208,10 @@ __all__ = [
     "render_fleet_table",
     "render_service_dashboard",
     "render_service_section",
-    "render_summary",
     "render_trend_section",
     "run_manifest",
-    "self_times",
     "service_rows",
     "stalls",
     "time_to_fraction",
-    "timing_rows",
     "top_blocking_widgets",
-    "top_slowest",
 ]

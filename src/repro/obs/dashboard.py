@@ -3,10 +3,10 @@
 ``repro dashboard <run dir> -o dash.html`` renders one file an analyst
 can open anywhere: stat tiles for the headline coverage numbers,
 inline-SVG coverage-over-time sparklines (one single-series card per
-curve: activities, fragments, FIVAs, sensitive APIs), the phase-timing
-bars and critical path from the span record, the stall table, the
-degradation panel of a faulted run, and — when pointed at a directory
-of per-app run directories (``repro batch`` output or
+curve: activities, fragments, FIVAs, sensitive APIs), the per-phase
+self-time bars and critical path from the span record, the stall
+table, the degradation panel of a faulted run, and — when pointed at
+a directory of per-app run directories (``repro batch`` output or
 ``bench.parallel`` sweep aggregation) — a per-app fleet table.
 
 No scripts, no external assets: charts are static inline SVG with a
@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.events import Event
-from repro.obs.flame import critical_path
+from repro.obs.flame import critical_path, phase_rows
 from repro.obs.sinks import read_events, read_spans
-from repro.obs.summary import aggregate_spans
 from repro.obs.timeline import (
     CoveragePoint,
     Stall,
@@ -215,38 +214,42 @@ def _tile(label: str, value: object, detail: str = "") -> str:
 # Inline-SVG marks
 # ---------------------------------------------------------------------------
 
-def _sparkline(points: Sequence[CoveragePoint], series: str,
-               color_var: str, total: Optional[int],
+def _sparkline(points: Sequence[Tuple[float, float]], color_var: str,
+               label: str, step: bool = True, y_floor: float = 0,
                width: int = 280, height: int = 64) -> str:
-    """A single-series cumulative step curve: 2px line, 10% area wash,
-    8px end marker with a 2px surface ring, hairline baseline."""
-    values = [(p.step, getattr(p, series)) for p in points]
-    max_step = max((step for step, _ in values), default=0) or 1
-    max_value = max(total or 0, max(v for _, v in values), 1)
+    """A single-series line over ``(x, value)`` points, in ascending
+    x: 2px line, 10% area wash, 8px end marker with a 2px surface ring,
+    hairline baseline.  ``step`` holds each value until the next point
+    (step-after: cumulative counts, queue depth); otherwise points are
+    joined linearly (independent samples).  The y scale tops out at
+    the largest value or ``y_floor``, whichever is higher."""
     pad = 6
+    max_x = max((x for x, _ in points), default=0) or 1
+    max_value = max(y_floor, max(v for _, v in points), 0) or 1
 
-    def x(step: int) -> float:
-        return pad + (width - 2 * pad) * step / max_step
+    def sx(value: float) -> float:
+        return pad + (width - 2 * pad) * value / max_x
 
-    def y(value: int) -> float:
-        return height - pad - (height - 2 * pad) * value / max_value
+    def sy(value: float) -> float:
+        return height - pad - (height - 2 * pad) * max(value, 0) / max_value
 
-    # Cumulative counts are step functions: hold each value until the
-    # next discovery (step-after interpolation).
-    coords: List[str] = []
-    previous_y = y(values[0][1])
-    for step, value in values:
-        coords.append(f"{x(step):.1f},{previous_y:.1f}")
-        previous_y = y(value)
-        coords.append(f"{x(step):.1f},{previous_y:.1f}")
-    coords.append(f"{x(max_step):.1f},{previous_y:.1f}")
+    if step:
+        coords: List[str] = []
+        previous_y = sy(points[0][1])
+        for x, value in points:
+            coords.append(f"{sx(x):.1f},{previous_y:.1f}")
+            previous_y = sy(value)
+            coords.append(f"{sx(x):.1f},{previous_y:.1f}")
+        coords.append(f"{sx(max_x):.1f},{previous_y:.1f}")
+    else:
+        coords = [f"{sx(x):.1f},{sy(v):.1f}" for x, v in points]
     line = " ".join(coords)
     base = height - pad
-    area = f"{pad:.1f},{base:.1f} {line} {x(max_step):.1f},{base:.1f}"
-    end_x, end_y = x(values[-1][0]), y(values[-1][1])
+    area = f"{pad:.1f},{base:.1f} {line} {sx(max_x):.1f},{base:.1f}"
+    end_x, end_y = sx(points[-1][0]), sy(points[-1][1])
     return (
         f'<svg viewBox="0 0 {width} {height}" width="100%" height="{height}" '
-        f'role="img" aria-label="{_esc(series)} over time">'
+        f'role="img" aria-label="{_esc(label)}">'
         f'<line x1="{pad}" y1="{base}" x2="{width - pad}" y2="{base}" '
         f'stroke="var(--baseline)" stroke-width="1"/>'
         f'<polygon points="{area}" fill="var({color_var})" opacity="0.1"/>'
@@ -271,7 +274,9 @@ def _coverage_cards(points: Sequence[CoveragePoint],
             "</span>"
             f"{_esc(label)}"
             f'<span class="final">{_esc(final_text)}</span></div>'
-            + _sparkline(points, series, color_var, total)
+            + _sparkline([(p.step, getattr(p, series)) for p in points],
+                         color_var, f"{series} over time",
+                         y_floor=total or 0)
             + "</div>"
         )
     checkpoint_rows = [
@@ -291,14 +296,15 @@ def _coverage_cards(points: Sequence[CoveragePoint],
 
 def _phase_bars(spans: Sequence[Span], top: int = 10) -> str:
     """Horizontal magnitude bars: one hue, ≤24px thick, 4px rounded
-    data end (square at the baseline), value at the tip in ink."""
-    stats = aggregate_spans(spans)[:top]
+    data end (square at the baseline), value at the tip in ink.  One
+    bar per span name, its total self time."""
+    stats = phase_rows(spans)[:top]
     if not stats:
         return '<p class="empty">no spans recorded</p>'
-    max_total = max(stat.total for stat in stats) or 1.0
+    max_total = max(stat["self_total_s"] for stat in stats) or 1.0
     rows = []
     for stat in stats:
-        frac = stat.total / max_total
+        frac = stat["self_total_s"] / max_total
         bar_w = max(1.0, 300.0 * frac)
         radius = min(4.0, bar_w)
         bar_path = (
@@ -311,50 +317,16 @@ def _phase_bars(spans: Sequence[Span], top: int = 10) -> str:
         label_x = bar_w + 6
         rows.append(
             '<div class="row">'
-            f'<span class="name" title="{_esc(stat.name)}">'
-            f"{_esc(stat.name)} &times;{stat.count}</span>"
+            f'<span class="name" title="{_esc(stat["span"])}">'
+            f"{_esc(stat['span'])} &times;{stat['count']}</span>"
             f'<svg viewBox="0 0 380 18" width="100%" height="18" '
             f'preserveAspectRatio="xMinYMid meet">'
             f'<path d="{bar_path}" fill="var(--bar)"/>'
             f'<text x="{label_x:.1f}" y="13" font-size="11" '
-            f'fill="var(--ink-2)">{stat.total:.3f} s</text>'
+            f'fill="var(--ink-2)">{stat["self_total_s"]:.3f} s</text>'
             "</svg></div>"
         )
     return f'<div class="bars">{"".join(rows)}</div>'
-
-
-def _trend_sparkline(values: Sequence[float], color_var: str,
-                     width: int = 280, height: int = 64) -> str:
-    """A run-over-run line: one point per registry record, oldest
-    left.  Same chrome as the coverage curves (2px line, 10% wash,
-    ringed end marker), but linear interpolation — these are
-    independent samples, not a cumulative count."""
-    pad = 6
-    max_value = max(max(values), 0) or 1
-    span_x = max(len(values) - 1, 1)
-
-    def x(index: int) -> float:
-        return pad + (width - 2 * pad) * index / span_x
-
-    def y(value: float) -> float:
-        return height - pad - (height - 2 * pad) * max(value, 0) / max_value
-
-    line = " ".join(f"{x(i):.1f},{y(v):.1f}" for i, v in enumerate(values))
-    base = height - pad
-    area = f"{pad:.1f},{base:.1f} {line} {x(len(values) - 1):.1f},{base:.1f}"
-    end_x, end_y = x(len(values) - 1), y(values[-1])
-    return (
-        f'<svg viewBox="0 0 {width} {height}" width="100%" height="{height}" '
-        f'role="img" aria-label="trend across runs">'
-        f'<line x1="{pad}" y1="{base}" x2="{width - pad}" y2="{base}" '
-        f'stroke="var(--baseline)" stroke-width="1"/>'
-        f'<polygon points="{area}" fill="var({color_var})" opacity="0.1"/>'
-        f'<polyline points="{line}" fill="none" stroke="var({color_var})" '
-        f'stroke-width="2" stroke-linejoin="round" stroke-linecap="round"/>'
-        f'<circle cx="{end_x:.1f}" cy="{end_y:.1f}" r="4" '
-        f'fill="var({color_var})" stroke="var(--surface)" stroke-width="2"/>'
-        f"</svg>"
-    )
 
 
 #: Trend series: (label, value-extractor key into coverage, color).
@@ -389,7 +361,8 @@ def render_trend_section(records: Sequence) -> str:
             "</span>"
             f"{_esc(label)}"
             f'<span class="final">{values[-1]:g}</span></div>'
-            + _trend_sparkline(values, color_var)
+            + _sparkline(list(enumerate(values)), color_var,
+                         "trend across runs", step=False)
             + "</div>"
         )
     times = [r.total_phase_time() for r in records]
@@ -400,7 +373,8 @@ def render_trend_section(records: Sequence) -> str:
             "</span>"
             "Total phase self time (s)"
             f'<span class="final">{times[-1]:.3f}</span></div>'
-            + _trend_sparkline(times, "--series-3")
+            + _sparkline(list(enumerate(times)), "--series-3",
+                         "trend across runs", step=False)
             + "</div>"
         )
     run_rows = [
@@ -567,7 +541,7 @@ def render_dashboard(run: RunData,
             "for coverage-over-time analytics.</p>"
         )
     if run.spans:
-        sections.append("<h2>Phase timing (total wall time per span)</h2>")
+        sections.append("<h2>Phase timing (self time per span)</h2>")
         sections.append(_phase_bars(run.spans))
         sections.append(_critical_path(run.spans))
     degradation = run.report.get("degradation")
@@ -762,45 +736,6 @@ def queue_depth_series(jobs: Sequence) -> List[Tuple[float, int]]:
     return points
 
 
-def _step_sparkline(points: Sequence[Tuple[float, float]], color_var: str,
-                    width: int = 280, height: int = 64) -> str:
-    """A generic step curve over (x, value) points — the queue-depth
-    chart.  Same chrome as the coverage curves."""
-    pad = 6
-    max_x = max((x for x, _ in points), default=0.0) or 1.0
-    max_value = max(max(v for _, v in points), 1)
-
-    def sx(value: float) -> float:
-        return pad + (width - 2 * pad) * value / max_x
-
-    def sy(value: float) -> float:
-        return height - pad - (height - 2 * pad) * value / max_value
-
-    coords: List[str] = []
-    previous_y = sy(points[0][1])
-    for x, value in points:
-        coords.append(f"{sx(x):.1f},{previous_y:.1f}")
-        previous_y = sy(value)
-        coords.append(f"{sx(x):.1f},{previous_y:.1f}")
-    coords.append(f"{sx(max_x):.1f},{previous_y:.1f}")
-    line = " ".join(coords)
-    base = height - pad
-    area = f"{pad:.1f},{base:.1f} {line} {sx(max_x):.1f},{base:.1f}"
-    end_x, end_y = sx(points[-1][0]), sy(points[-1][1])
-    return (
-        f'<svg viewBox="0 0 {width} {height}" width="100%" height="{height}" '
-        f'role="img" aria-label="queue depth over time">'
-        f'<line x1="{pad}" y1="{base}" x2="{width - pad}" y2="{base}" '
-        f'stroke="var(--baseline)" stroke-width="1"/>'
-        f'<polygon points="{area}" fill="var({color_var})" opacity="0.1"/>'
-        f'<polyline points="{line}" fill="none" stroke="var({color_var})" '
-        f'stroke-width="2" stroke-linejoin="round" stroke-linecap="round"/>'
-        f'<circle cx="{end_x:.1f}" cy="{end_y:.1f}" r="4" '
-        f'fill="var({color_var})" stroke="var(--surface)" stroke-width="2"/>'
-        f"</svg>"
-    )
-
-
 def render_service_section(jobs: Sequence,
                            records: Optional[Sequence] = None) -> str:
     """The fleet-health panel: state tiles, queue depth over time, the
@@ -851,7 +786,8 @@ def render_service_section(jobs: Sequence,
             '<span class="key-dot" style="background: var(--series-1)">'
             "</span>Queue depth over time"
             f'<span class="final">peak {peak}</span></div>'
-            + _step_sparkline(depth_points, "--series-1")
+            + _sparkline(depth_points, "--series-1",
+                         "queue depth over time")
             + "</div></div>"
         )
     job_table_rows = [

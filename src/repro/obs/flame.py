@@ -4,8 +4,10 @@ A traced run records a flat list of spans with parent pointers; this
 module folds them back into trees and answers the profiler questions:
 
 * :func:`build_trees` — one :class:`FlameNode` tree per trace root;
-* :func:`self_times` — per-name *self* time (a span's duration minus
-  its children's), the quantity the flamegraph bars show;
+* :func:`phase_stats` — per-name *self* time (a span's duration minus
+  its children's): count, total and p50/p90/p99, the one definition of
+  phase cost every view ranks by (``repro profile``, run records, the
+  regression gate, the reports and the dashboard);
 * :func:`critical_path` — the chain of slowest descendants from a
   root, i.e. where an optimisation would actually shorten the run;
 * :func:`collapsed_stacks` — classic ``a;b;c <value>`` collapsed-stack
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence
 
+from repro.obs.metrics import percentile
 from repro.obs.tracer import Span
 
 
@@ -65,14 +68,39 @@ def build_trees(spans: Sequence[Span]) -> List[FlameNode]:
     return roots
 
 
-def self_times(spans: Sequence[Span]) -> Dict[str, float]:
-    """Total self time per span name, the flamegraph aggregation."""
-    totals: Dict[str, float] = {}
-    for root in build_trees(spans):
+def phase_stats(spans: Iterable[Span]) -> Dict[str, Dict[str, float]]:
+    """Per-phase (span-name) self-time stats with p50/p90/p99, plus the
+    peak tracemalloc growth when the tracer sampled memory."""
+    samples: Dict[str, List[float]] = {}
+    mem_peaks: Dict[str, List[float]] = {}
+    for root in build_trees(list(spans)):
         for node in root.walk():
             name = node.span.name
-            totals[name] = totals.get(name, 0.0) + node.self_time
-    return totals
+            samples.setdefault(name, []).append(node.self_time)
+            mem = node.span.attributes.get("mem_peak_kb")
+            if isinstance(mem, (int, float)) and not isinstance(mem, bool):
+                mem_peaks.setdefault(name, []).append(float(mem))
+    stats: Dict[str, Dict[str, float]] = {}
+    for name, values in samples.items():
+        entry: Dict[str, float] = {
+            "count": len(values),
+            "self_total_s": round(sum(values), 6),
+            "self_p50_ms": round(percentile(values, 0.50) * 1000, 3),
+            "self_p90_ms": round(percentile(values, 0.90) * 1000, 3),
+            "self_p99_ms": round(percentile(values, 0.99) * 1000, 3),
+        }
+        if name in mem_peaks:
+            entry["mem_peak_kb"] = max(mem_peaks[name])
+        stats[name] = entry
+    return stats
+
+
+def phase_rows(spans: Iterable[Span]) -> List[Dict]:
+    """:func:`phase_stats` as table rows, ``{"span": name, **stats}``,
+    largest total self time first (ties by name)."""
+    return [{"span": name, **stats} for name, stats in
+            sorted(phase_stats(spans).items(),
+                   key=lambda item: (-item[1]["self_total_s"], item[0]))]
 
 
 def critical_path(spans: Sequence[Span]) -> List[Span]:

@@ -18,7 +18,7 @@ need:
 * the **counters and histogram aggregates** of the run's metrics
   registry and the **fault census** of the sweep;
 * per-phase **span self-time percentiles** (p50/p90/p99 over each span
-  name's self time, via :func:`repro.obs.summary.percentile`) and —
+  name's self time, via :func:`repro.obs.flame.phase_stats`) and —
   when the tracer samples memory (``Tracer(memory=True)``) — the peak
   **tracemalloc** growth per phase;
 * per-app **discovery statistics** from the flight-recorder timeline
@@ -48,8 +48,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.flame import build_trees
-from repro.obs.summary import percentile
+from repro.obs.flame import phase_stats
 from repro.obs.timeline import coverage_timeline, discovery_stats
 from repro.store import atomic_write, read_entries, resolve_prefix
 
@@ -219,33 +218,6 @@ def config_fingerprint(config) -> Dict[str, object]:
         fingerprint["input_values_digest"] = hashlib.sha256(
             canonical.encode("utf-8")).hexdigest()[:16]
     return fingerprint
-
-
-def phase_stats(spans) -> Dict[str, Dict[str, float]]:
-    """Per-phase (span-name) self-time stats with p50/p90/p99, plus the
-    peak tracemalloc growth when the tracer sampled memory."""
-    self_times: Dict[str, List[float]] = {}
-    mem_peaks: Dict[str, List[float]] = {}
-    for root in build_trees(list(spans)):
-        for node in root.walk():
-            name = node.span.name
-            self_times.setdefault(name, []).append(node.self_time)
-            mem = node.span.attributes.get("mem_peak_kb")
-            if isinstance(mem, (int, float)) and not isinstance(mem, bool):
-                mem_peaks.setdefault(name, []).append(float(mem))
-    stats: Dict[str, Dict[str, float]] = {}
-    for name, values in self_times.items():
-        entry: Dict[str, float] = {
-            "count": len(values),
-            "self_total_s": round(sum(values), 6),
-            "self_p50_ms": round(percentile(values, 0.50) * 1000, 3),
-            "self_p90_ms": round(percentile(values, 0.90) * 1000, 3),
-            "self_p99_ms": round(percentile(values, 0.99) * 1000, 3),
-        }
-        if name in mem_peaks:
-            entry["mem_peak_kb"] = max(mem_peaks[name])
-        stats[name] = entry
-    return stats
 
 
 def coverage_from_rows(rows: Sequence[Dict]) -> Dict[str, float]:

@@ -356,8 +356,8 @@ class StaticCache:
         if self.directory is not None and self.directory.is_dir():
             entries = 0
             size = 0
-            for path in self.directory.glob("*.json"):
-                if path.name == _STATS_FILE:
+            for path in self._disk_files():
+                if not _is_entry(path):
                     continue
                 entries += 1
                 try:
@@ -390,17 +390,30 @@ class StaticCache:
             return {}
 
     def clear(self) -> int:
-        """Drop every entry (memory and disk); returns entries removed."""
+        """Drop every entry (memory and disk), the notes and the
+        persisted tallies; returns the number of distinct entries
+        removed (one held in both tiers counts once)."""
         with self._lock:
-            removed = len(self._memory)
+            removed = set(self._memory)
             self._memory.clear()
             self._notes.clear()
         if self.directory is not None and self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
+            for path in self._disk_files():
                 try:
                     path.unlink()
                 except OSError:
                     continue
-                if path.name != _STATS_FILE:
-                    removed += 1
-        return removed
+                if _is_entry(path):
+                    removed.add(path.stem)
+        return len(removed)
+
+    def _disk_files(self) -> List[pathlib.Path]:
+        """The cache's own files: every ``*.json`` except dot-files,
+        which are other writers' in-flight temps."""
+        return [path for path in self.directory.glob("*.json")
+                if not path.name.startswith(".")]
+
+
+def _is_entry(path: pathlib.Path) -> bool:
+    """A ``<digest>.json`` static entry, not the notes or tallies."""
+    return path.name != _STATS_FILE and not path.name.startswith("notes-")

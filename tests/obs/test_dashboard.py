@@ -1,5 +1,7 @@
 """The HTML run dashboard: single-run and fleet rendering."""
 
+import pathlib
+import re
 from html.parser import HTMLParser
 
 import pytest
@@ -276,3 +278,54 @@ def test_dashboard_threads_trend_history_through(tmp_path):
     html = render_dashboard(load_run(run_dir), history=history)
     _assert_well_formed(html)
     assert "Run trend (last 2 runs)" in html
+
+
+# ---------------------------------------------------------------------------
+# Chart bytes: the coverage, trend and queue-depth SVG are pinned
+# ---------------------------------------------------------------------------
+
+_CHARTS_GOLDEN = (pathlib.Path(__file__).parent / "dashboard_golden"
+                  / "charts.svg")
+
+
+def _golden_charts(base):
+    """Every line chart a small run dir, registry and journal render:
+    four coverage curves, four trend curves, one queue-depth curve."""
+    from repro.corpus.demos import demo_tabbed_app
+    from repro.obs import RunRecord, RunRegistry, render_service_dashboard
+    from repro.serve import JobJournal
+
+    config = FragDroidConfig(event_log=EventLog())
+    result = FragDroid(Device(), config).explore(build_apk(demo_tabbed_app()))
+    run_dir = base / "run"
+    save_artifacts(result, run_dir)
+
+    registry = RunRegistry(base / "registry")
+    for i, (rate, apis, self_s) in enumerate(
+            [(0.7, 100, 1.25), (0.75, 0, 0.5), (0.72, 120, 2.0)]):
+        registry.record(RunRecord(
+            label="sweep",
+            coverage={"mean_activity_rate": rate,
+                      "mean_fragment_rate": rate - 0.3, "apis": apis},
+            phases={"explore": {"count": 1, "self_total_s": self_s}},
+            meta={"created": float(i)}))
+
+    journal = JobJournal(base / "journal")
+    for job in (_job("aaa", created=100.0, started=101.25, finished=103.0),
+                _job("bbb", created=100.5, started=102.0, finished=104.0),
+                _job("ccc", state="cancelled", created=100.75, started=0.0,
+                     finished=102.5),
+                _job("ddd", created=103.5, started=104.0, finished=105.0)):
+        journal.write(job)
+
+    pages = [render_dashboard(load_run(run_dir), history=registry.list()),
+             render_service_dashboard(journal.jobs(), base / "journal")]
+    charts = [svg for page in pages
+              for svg in re.findall(r'<svg [^>]*role="img".*?</svg>', page)]
+    return "\n".join(charts) + "\n"
+
+
+def test_line_charts_match_golden(tmp_path):
+    charts = _golden_charts(tmp_path)
+    assert charts.count("<svg ") == 9
+    assert charts == _CHARTS_GOLDEN.read_text(encoding="utf-8")

@@ -80,6 +80,26 @@ def test_traced_run_renders_timing_tables():
     assert "static.extract" in html
 
 
+def test_timing_rows_are_the_recorded_phase_stats():
+    # The report, the HTML table and the run record rank phases by one
+    # definition of cost: self time, from phase_stats.
+    from repro.obs import capture_run_record
+
+    tracer = Tracer()
+    config = FragDroidConfig(tracer=tracer)
+    result = FragDroid(Device(), config).explore(
+        build_apk(demo_tabbed_app()))
+    timing = result_to_dict(result)["timing"]
+    phases = capture_run_record("explore", config=config).phases
+    assert {row["span"]: {k: v for k, v in row.items() if k != "span"}
+            for row in timing} == phases
+    totals = [row["self_total_s"] for row in timing]
+    assert totals == sorted(totals, reverse=True)
+    html = render_html_report(result)
+    assert "Self total (s)" in html
+    assert f"<td>{timing[0]['self_total_s']:.4f}</td>" in html
+
+
 def test_parallel_sweep_produces_disjoint_traces():
     from repro.bench.parallel import explore_many
     from repro.corpus.table1_apps import plan_for

@@ -46,14 +46,14 @@ def test_histogram_quantiles_use_nearest_rank():
 
 
 def test_percentile_is_the_shared_quantile_definition():
-    # The one definition metrics, summary and the exporters share.
+    # The one definition metrics, phase_stats and the exporters share.
     assert percentile([], 0.5) == 0.0
     assert percentile([3.0], 0.99) == 3.0
     assert percentile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
     assert percentile([4.0, 1.0, 3.0, 2.0], 1.0) == 4.0  # unsorted input
     assert percentile([1.0, 2.0], 0.0) == 1.0
 
-    from repro.obs.summary import percentile as reexported
+    from repro.obs import percentile as reexported
     assert reexported is percentile
 
 

@@ -1,19 +1,10 @@
-"""JSONL sink round-trip and the summary table."""
+"""JSONL sink round-trip (per-phase stats live in test_flame.py)."""
 
 import io
 
 import pytest
 
-from repro.obs import (
-    JsonlSink,
-    Span,
-    Tracer,
-    aggregate_spans,
-    read_spans,
-    render_summary,
-    timing_rows,
-    top_slowest,
-)
+from repro.obs import JsonlSink, Tracer, read_spans
 
 
 def _trace_some(tracer):
@@ -89,45 +80,3 @@ def test_read_spans_skips_blank_lines(tmp_path):
            '"depth": 0, "start": 0.0, "duration": 0.1, "attributes": {}}'
     path.write_text("\n" + line + "\n\n")
     assert [s.name for s in read_spans(path)] == ["a"]
-
-
-def _span(name, duration, **attrs):
-    return Span(name=name, span_id=1, trace_id=1, parent_id=None,
-                depth=0, start=0.0, duration=duration, attributes=attrs)
-
-
-def test_aggregate_spans_groups_by_name():
-    spans = [_span("a", 0.2), _span("a", 0.4), _span("b", 0.1)]
-    stats = {s.name: s for s in aggregate_spans(spans)}
-    assert stats["a"].count == 2
-    assert abs(stats["a"].total - 0.6) < 1e-9
-    assert abs(stats["a"].mean - 0.3) < 1e-9
-    assert stats["a"].maximum == 0.4
-    assert stats["b"].count == 1
-    # Sorted by total descending.
-    assert [s.name for s in aggregate_spans(spans)] == ["a", "b"]
-
-
-def test_top_slowest_orders_individual_spans():
-    spans = [_span("a", 0.1), _span("b", 0.5), _span("c", 0.3)]
-    assert [s.name for s in top_slowest(spans, 2)] == ["b", "c"]
-    assert top_slowest(spans, 0) == []
-
-
-def test_render_summary_contains_aggregates_and_slowest():
-    spans = [_span("static.extract", 0.25, app="com.example"),
-             _span("explorer.test_case", 0.05)]
-    text = render_summary(spans, top=5)
-    assert "static.extract" in text
-    assert "explorer.test_case" in text
-    assert "app=com.example" in text
-    assert "top 2 slowest spans" in text
-    assert render_summary([], top=5) == "no spans recorded"
-
-
-def test_timing_rows_format():
-    rows = timing_rows([_span("x", 0.5)])
-    assert rows[0][0] == "x"
-    assert rows[0][1] == 1
-    assert rows[0][2] == "0.5000"
-    assert rows[0][3] == "500.00"

@@ -216,10 +216,25 @@ def test_stats_and_clear(tmp_path):
     assert stats["lifetime_hits"] == 1
     assert stats["lifetime_misses"] == 1
     assert stats["lifetime_stores"] == 1
-    assert cache.clear() >= 1
+    assert cache.clear() == 1  # held in memory and on disk: one entry
     assert cache.stats()["disk_entries"] == 0
     extract_static_info(_demo_apk(), cache=cache)
     assert cache.misses == 2 and cache.stores == 2
+
+
+def test_notes_and_temp_files_are_not_entries(tmp_path):
+    # A notes file is not a static entry, and a dot-prefixed temp is
+    # another writer's in-flight write: stats() must not count either,
+    # and clear() must leave the temp alone.
+    (tmp_path / "notes-attribution.json").write_text("{}")
+    temp = tmp_path / ".tmp-x.json"
+    temp.write_text("{")
+    cache = StaticCache(directory=tmp_path)
+    assert cache.stats()["disk_entries"] == 0
+    assert cache.stats()["disk_bytes"] == 0
+    assert cache.clear() == 0
+    assert temp.exists()
+    assert not (tmp_path / "notes-attribution.json").exists()
 
 
 def test_rejects_silly_memory_budget():

@@ -134,6 +134,9 @@ def test_batch_empty_directory(capsys, tmp_path):
     assert code == 1
 
 
+# A trace's summary: `profile FILE.jsonl` reads a span JSONL like a
+# run record.
+
 def test_explore_trace_jsonl_and_trace_summary(capsys, tmp_path):
     trace = tmp_path / "run.jsonl"
     code, out = run_cli(capsys, "explore", "demo:tabs",
@@ -142,31 +145,79 @@ def test_explore_trace_jsonl_and_trace_summary(capsys, tmp_path):
     assert "spans" in out
     assert trace.exists() and trace.read_text().strip()
 
-    code, out = run_cli(capsys, "trace-summary", str(trace), "--top", "3")
+    code, out = run_cli(capsys, "profile", str(trace), "--top", "3")
     assert code == 0
+    assert "run <unnamed> (run.jsonl)" in out
+    assert "top 3 phases by p90 self time" in out
+    rows = [line for line in out.splitlines()
+            if line and not line.startswith(("run ", "phase"))]
+    assert len(rows) == 3
+
+    code, out = run_cli(capsys, "profile", str(trace), "--top", "50")
     assert "static.extract" in out
     assert "explorer.test_case" in out
-    assert "slowest spans" in out
 
 
 def test_trace_summary_missing_file(capsys, tmp_path):
-    code, out = run_cli(capsys, "trace-summary", str(tmp_path / "nope.jsonl"))
-    assert code == 1
-    assert "no such trace file" in out
+    code, out = run_cli(capsys, "profile", str(tmp_path / "nope.jsonl"))
+    assert code == 2
+    assert "cannot load record" in out
+    code, out = run_cli(capsys, "profile", str(tmp_path / "nope.jsonl"),
+                        "--flame")
+    assert code == 2
+    assert "cannot load record" in out
 
 
 def test_trace_summary_empty_file(capsys, tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    code, out = run_cli(capsys, "trace-summary", str(empty))
-    assert code == 1
+    code, out = run_cli(capsys, "profile", str(empty))
+    assert code == 2
+    assert "has no phase data" in out
+    code, out = run_cli(capsys, "profile", str(empty), "--flame")
+    assert code == 2
     assert "holds no spans" in out
+
+
+def test_profile_flame_needs_a_span_jsonl(capsys):
+    code, out = run_cli(capsys, "profile",
+                        "benchmarks/baselines/table1_baseline.json",
+                        "--flame")
+    assert code == 2
+    assert "--flame needs a span JSONL file" in out
+
+
+def test_profile_jsonl_rows_match_the_recorded_run(capsys, tmp_path):
+    # One view: the span JSONL of a traced explore and the run record
+    # captured from the same tracer print identical phase rows.
+    from repro import Device, FragDroid, FragDroidConfig
+    from repro.apk import build_apk
+    from repro.corpus import demo_tabbed_app
+    from repro.obs import JsonlSink, RunRegistry, Tracer, capture_run_record
+
+    trace = tmp_path / "run.jsonl"
+    tracer = Tracer(sinks=[JsonlSink(trace)])
+    config = FragDroidConfig(tracer=tracer)
+    FragDroid(Device(), config).explore(build_apk(demo_tabbed_app()))
+    tracer.close()
+    registry = RunRegistry(tmp_path / "runs")
+    run_id = registry.record(capture_run_record("explore", config=config))
+
+    code, from_jsonl = run_cli(capsys, "profile", str(trace),
+                               "--top", "100")
+    assert code == 0
+    code, from_record = run_cli(capsys, "profile", run_id, "--top", "100",
+                                "--dir", str(tmp_path / "runs"))
+    assert code == 0
+    # Only the title line (run id and label) differs.
+    assert from_jsonl.splitlines()[1:] == from_record.splitlines()[1:]
+    assert len(from_jsonl.splitlines()) > 5
 
 
 def test_trace_summary_flame(capsys, tmp_path):
     trace = tmp_path / "run.jsonl"
     run_cli(capsys, "explore", "demo:tabs", "--trace-jsonl", str(trace))
-    code, out = run_cli(capsys, "trace-summary", str(trace), "--flame")
+    code, out = run_cli(capsys, "profile", str(trace), "--flame")
     assert code == 0
     lines = [line for line in out.splitlines() if line]
     assert any(line.startswith("explore ") for line in lines)
